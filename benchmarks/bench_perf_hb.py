@@ -2,8 +2,8 @@
 
 Harmonic balance pays for two factorizations per Newton iteration:
 either the assembled sparse Jacobian LU (direct path) or the averaged
-circuit preconditioner — one dense LU per retained frequency (GMRES
-path).  With ``MPDEOptions.reuse_factorization`` those are held across
+circuit preconditioner — one stacked dense LU over the half-spectrum
+frequency blocks (GMRES path).  With ``MPDEOptions.reuse_factorization`` those are held across
 Newton iterations once the contraction rate shows the iteration is in
 its asymptotic regime, with fail-closed refresh when a stale factor
 stalls a step or the linear solve.
@@ -79,7 +79,8 @@ def test_hb_factor_reuse(benchmark):
         }
 
     # the direct path skips whole Jacobian assemblies + sparse LUs; the
-    # GMRES path skips averaged-preconditioner builds (m dense LUs).
+    # GMRES path skips averaged-preconditioner builds (a stack of dense
+    # block LUs and inverses).
     # Either way the answer is bitwise the same physics; the direct
     # path must show a real measured win and both must hit the cache.
     assert records["direct"]["speedup"] >= 1.1

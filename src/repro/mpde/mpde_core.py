@@ -17,7 +17,8 @@ Two linear-solver strategies (also the subject of an ablation bench):
   circulants) and small spectral grids.
 * ``gmres`` — matrix-free application of ``J`` via FFT differentiation,
   preconditioned by the *time-averaged* circuit ``(lambda_k C_avg +
-  G_avg)^{-1}`` applied frequency-by-frequency.  This is the iterative
+  G_avg)^{-1}``, block diagonal in frequency and applied as one batched
+  product over the Hermitian half-spectrum.  This is the iterative
   linear algebra that made full-chip HB feasible (paper sec. 2.1,
   refs [10, 31]).
 """
@@ -319,31 +320,57 @@ class _MPDEProblem:
 
         return apply
 
-    def averaged_preconditioner(self, g_vals, c_vals):
-        """Frequency-diagonal preconditioner from time-averaged C, G."""
-        rows_p, cols_p = self.pattern
-        g_avg = g_vals.mean(axis=1)
-        c_avg = c_vals.mean(axis=1)
-        G_avg = sp.csr_matrix((g_avg, (rows_p, cols_p)), shape=(self.n, self.n)).toarray()
-        C_avg = sp.csr_matrix((c_avg, (rows_p, cols_p)), shape=(self.n, self.n)).toarray()
-        lam = self.grid.combined_eigenvalues().ravel()
-        factors = []
-        for k in range(self.m):
-            A = lam[k] * C_avg + G_avg.astype(complex)
-            for blk, Y in zip(self.fd_blocks, self._fd_Y):
-                for a, pa in enumerate(blk.ports):
-                    for b, pb in enumerate(blk.ports):
-                        A[pa, pb] += Y[k, a, b]
-            factors.append(sla.lu_factor(A))
-        axes = tuple(range(self.grid.ndim))
+    def _half_spectrum(self, a: np.ndarray) -> np.ndarray:
+        """Rows of a flat ``(m, ...)`` spectral array kept by ``rfftn``.
 
+        A real grid signal's spectrum is Hermitian, so only the bins
+        ``0 .. N_d // 2`` of the last axis are independent; the result is
+        flat (C order) over that half grid, matching ``rfftn`` output.
+        """
+        nd = self.grid.ndim
+        a = a.reshape(self.grid.shape + a.shape[1:])
+        keep = (slice(None),) * (nd - 1) + (slice(0, self.grid.shape[-1] // 2 + 1),)
+        return a[keep].reshape((-1,) + a.shape[nd:])
+
+    @spanned("precond.build")
+    def averaged_preconditioner(self, g_vals, c_vals, adjoint: bool = False):
+        """Block-diagonal preconditioner from the time-averaged C, G.
+
+        In the tensor DFT basis the averaged circuit is block diagonal,
+        ``A_k = lambda_k C_avg + G_avg`` (plus the fd-block admittances
+        ``Y_k`` at their ports).  Every block obeys ``A(-k) = conj(A(k))``,
+        so for real input only the ``rfftn`` half-spectrum is needed:
+        the blocks are factored as one stack and inverted once, and each
+        apply is ``rfftn`` -> one batched matmul -> ``irfftn``.  A
+        singular block warns (``LinAlgWarning``) and yields non-finite
+        output, which stalls GMRES into its counted direct fallback.
+
+        ``adjoint=True`` applies the transpose of the (real) operator,
+        i.e. ``A_k^-H`` per block, which preconditions ``J^T``.
+        """
+        rows_p, cols_p = self.pattern
+        n = self.n
+        G_avg = sp.csr_matrix((g_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)).toarray()
+        C_avg = sp.csr_matrix((c_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)).toarray()
+        lam = self._half_spectrum(self.grid.combined_eigenvalues().ravel())
+        stack = lam[:, None, None] * C_avg + G_avg
+        for blk, Y in zip(self.fd_blocks, self._fd_Y):
+            ports = blk.ports
+            np.add.at(
+                stack, (slice(None), ports[:, None], ports[None, :]), self._half_spectrum(Y)
+            )
+        inv = sla.lu_solve(sla.lu_factor(stack), np.eye(n, dtype=stack.dtype))
+        if adjoint:
+            inv = inv.conj().swapaxes(-1, -2)
+        axes = tuple(range(self.grid.ndim))
+        shape = self.grid.shape
+
+        @spanned("precond.apply")
         def apply(v):
-            V = self.grid.reshape(np.asarray(v, dtype=complex), self.n)
-            spec = np.fft.fftn(V, axes=axes).reshape(self.m, self.n)
-            for k in range(self.m):
-                spec[k] = sla.lu_solve(factors[k], spec[k])
-            out = np.fft.ifftn(spec.reshape(self.grid.shape + (self.n,)), axes=axes)
-            return np.real(out).reshape(-1)
+            V = self.grid.reshape(np.asarray(v, dtype=float), n)
+            spec = np.fft.rfftn(V, axes=axes)
+            out = np.matmul(inv, spec.reshape(-1, n, 1)).reshape(spec.shape)
+            return np.fft.irfftn(out, s=shape, axes=axes).reshape(-1)
 
         return apply
 
@@ -501,7 +528,7 @@ def solve_mpde(
                     # the current iterate, so the batch Jacobians are
                     # always rebuilt — the reusable (and expensive) part
                     # is the averaged-circuit preconditioner, one dense
-                    # LU per retained frequency
+                    # block inverse per half-spectrum frequency
                     G_big, C_big, g_vals, c_vals = prob.batch_matrices(x_it)
                     perf.jacobian_evals += 1
                     mv = prob.matvec(G_big, C_big)

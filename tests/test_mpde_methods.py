@@ -8,16 +8,22 @@ brute-force univariate shooting where that is affordable.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from repro.analysis import shooting_analysis
-from repro.hb import harmonic_balance
+from repro.analysis import dc_analysis, shooting_analysis
+from repro.hb import FrequencyDomainBlock, harmonic_balance, hb_grid
 from repro.mpde import (
+    Axis,
+    MPDEGrid,
+    MPDEOptions,
     envelope_analysis,
     hierarchical_shooting,
     solve_mfdtd,
     solve_mmft,
 )
+from repro.mpde.mpde_core import _MPDEProblem
 from repro.netlist import Circuit, Sine
+from repro.rf import ModulatorSpec, quadrature_modulator
 
 
 def small_mixer(f_rf=100e3, f_lo=10e6):
@@ -149,3 +155,122 @@ class TestEnvelope:
     def test_invalid_initial_rejected(self, mixer_system):
         with pytest.raises(ValueError):
             envelope_analysis(mixer_system, 10e6, 1e-6, 0.5e-6, initial="warm")
+
+
+# --- averaged-circuit preconditioner -----------------------------------
+
+
+def _fig1_case():
+    spec = ModulatorSpec()
+    grid = hb_grid([spec.f_bb, spec.f_ref], [3, 10])
+    return quadrature_modulator(spec), grid, None
+
+
+def _fd_block_case():
+    """Diode stage loaded by a coupled two-port known only as Y(omega)."""
+    ckt = Circuit("fd-block stage")
+    ckt.vsource("V1", "in", "0", Sine(0.5, 1e6))
+    ckt.resistor("Rs", "in", "mid", 100.0)
+    ckt.diode("D1", "mid", "out")
+    ckt.resistor("Rl", "out", "0", 1e3)
+    system = ckt.compile()
+
+    def admittance(omega):
+        jwc = 1j * np.atleast_1d(omega) * 2e-9
+        return np.stack(
+            [np.stack([5e-3 + jwc, -jwc], -1), np.stack([-jwc, 1e-3 + jwc], -1)], -2
+        )
+
+    blk = FrequencyDomainBlock(
+        ports=[system.node("mid"), system.node("out")], admittance=admittance
+    )
+    grid = MPDEGrid([Axis("fourier", 1e6, 8), Axis("fourier", 1.3e6, 9)])
+    return system, grid, [blk]
+
+
+PRECOND_CASES = {
+    "fig1-modulator": _fig1_case,
+    "fourier-odd-last-axis": lambda: (
+        small_mixer(),
+        MPDEGrid([Axis("fourier", 100e3, 8), Axis("fourier", 10e6, 15)]),
+        None,
+    ),
+    "mfdtd-fd-fd2": lambda: (
+        small_mixer(),
+        MPDEGrid([Axis("fd", 100e3, 8), Axis("fd2", 10e6, 16)]),
+        None,
+    ),
+    "mmft-fourier-fd": lambda: (
+        small_mixer(),
+        MPDEGrid([Axis("fourier", 100e3, 7), Axis("fd", 10e6, 16)]),
+        None,
+    ),
+    "fd-block": _fd_block_case,
+}
+
+
+def _linearized(case, seed=0):
+    """Problem, averaged-circuit Jacobian values and a real test vector."""
+    system, grid, fd_blocks = PRECOND_CASES[case]()
+    prob = _MPDEProblem(system, grid, fd_blocks, MPDEOptions())
+    rng = np.random.default_rng(seed)
+    size = system.n * grid.total
+    x = np.tile(dc_analysis(system).x, grid.total) + 0.05 * rng.standard_normal(size)
+    _, _, g_vals, c_vals = prob.batch_matrices(x)
+    return prob, g_vals, c_vals, rng.standard_normal(size)
+
+
+def _reference_preconditioner(prob, g_vals, c_vals, v, trans=0):
+    """Full spectrum, one ``lu_solve`` per frequency block."""
+    n, m = prob.n, prob.m
+    rows, cols = prob.pattern
+    G_avg = np.zeros((n, n))
+    C_avg = np.zeros((n, n))
+    np.add.at(G_avg, (rows, cols), g_vals.mean(axis=1))
+    np.add.at(C_avg, (rows, cols), c_vals.mean(axis=1))
+    lam = prob.grid.combined_eigenvalues().ravel()
+    axes = tuple(range(prob.grid.ndim))
+    spec = np.fft.fftn(prob.grid.reshape(v.astype(complex), n), axes=axes)
+    spec = spec.reshape(m, n)
+    for k in range(m):
+        A = lam[k] * C_avg + G_avg
+        for blk, Y in zip(prob.fd_blocks, prob._fd_Y):
+            A[np.ix_(blk.ports, blk.ports)] += Y[k]
+        spec[k] = sla.lu_solve(sla.lu_factor(A), spec[k], trans=trans)
+    out = np.fft.ifftn(spec.reshape(prob.grid.shape + (n,)), axes=axes)
+    return np.real(out).reshape(-1)
+
+
+class TestAveragedPreconditioner:
+    """The stacked half-spectrum preconditioner equals the per-block
+    full-spectrum solve it replaces, forward and adjoint."""
+
+    @pytest.mark.parametrize("case", sorted(PRECOND_CASES))
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+    def test_matches_per_block_reference(self, case, adjoint):
+        prob, g_vals, c_vals, v = _linearized(case)
+        got = prob.averaged_preconditioner(g_vals, c_vals, adjoint=adjoint)(v)
+        want = _reference_preconditioner(
+            prob, g_vals, c_vals, v, trans=2 if adjoint else 0
+        )
+        assert got.dtype == np.float64 and got.shape == v.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_adjoint_is_transpose(self):
+        prob, g_vals, c_vals, v = _linearized("mmft-fourier-fd")
+        w = np.random.default_rng(1).standard_normal(v.size)
+        fwd = prob.averaged_preconditioner(g_vals, c_vals)
+        adj = prob.averaged_preconditioner(g_vals, c_vals, adjoint=True)
+        np.testing.assert_allclose(w @ fwd(v), adj(w) @ v, rtol=1e-12)
+
+    def test_singular_blocks_warn_and_go_non_finite(self):
+        """An all-zero averaged circuit must not raise: it warns, and the
+        non-finite output stalls GMRES into the direct fallback."""
+        prob, g_vals, c_vals, v = _linearized("fourier-odd-last-axis")
+        with pytest.warns(sla.LinAlgWarning):
+            pc = prob.averaged_preconditioner(
+                np.zeros_like(g_vals), np.zeros_like(c_vals)
+            )
+        with np.errstate(invalid="ignore"):
+            out = pc(v)
+        assert not np.all(np.isfinite(out))

@@ -19,6 +19,7 @@ would still converge GMRES — to the wrong vector.
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from repro.analysis.dc import dc_analysis
 from repro.analysis.transient import transient_analysis
@@ -62,8 +63,21 @@ def central_fd(build, specs, evaluate, rel_step=1e-6, abs_step=1e-6):
 
 
 def _tight_dc(node):
-    """DC objective evaluator solved well below FD noise level."""
-    return lambda s: float(dc_analysis(s, abstol=1e-13).x[s.node(node)])
+    """DC objective evaluator solved well below FD noise level.
+
+    ``dc_analysis`` stops once the residual is under ``abstol``; what is
+    left varies smoothly with the parameters, so a difference quotient
+    would pick it up.  Three undamped Newton steps polish the operating
+    point down to rounding first.
+    """
+
+    def evaluate(s):
+        x = dc_analysis(s, abstol=1e-13).x
+        for _ in range(3):
+            x = x - spsolve(s.G(x).tocsc(), s.f(x) - s.b_dc())
+        return float(x[s.node(node)])
+
+    return evaluate
 
 
 def assert_close(got, want, rtol=RTOL, atol=0.0):
@@ -377,7 +391,7 @@ class TestHBSensitivity:
 # --- hypothesis-randomized ladder -------------------------------------
 
 try:
-    from hypothesis import given
+    from hypothesis import example, given
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -404,6 +418,8 @@ class TestRandomizedLadder:
             max_size=5,
         )
     )
+    # FD reference once picked up dc_analysis's leftover residual here
+    @example(r_values=[4824, 4824, 79459, 79459, 79459])
     def test_adjoint_direct_fd_on_random_ladders(self, r_values):
         build = lambda: self._ladder(r_values)
         specs = [f"R{k}.resistance" for k in range(len(r_values))]
