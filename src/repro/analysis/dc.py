@@ -104,6 +104,7 @@ def dc_analysis(
         the solve under the default.
     """
     validation = enforce(preflight(system, "dc"), on_invalid)
+    evals0 = (system.device_evals, system.device_eval_hits)
     b = system.b_dc()
     guess = np.zeros(system.n) if x0 is None else np.asarray(x0, dtype=float)
     opts = NewtonOptions(abstol=abstol, maxiter=maxiter, dx_limit=dx_limit)
@@ -217,6 +218,8 @@ def dc_analysis(
     norm = out.residual_norm
     if not np.isfinite(norm):
         norm = float(np.linalg.norm(system.f(out.value) - b))
+    rep.perf["device_evals"] = system.device_evals - evals0[0]
+    rep.perf["device_eval_hits"] = system.device_eval_hits - evals0[1]
     return DCResult(
         x=out.value,
         iterations=rep.total_iterations,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,12 +120,23 @@ class Device:
     n_branches = 0
     #: True when the device contributes nonlinear f/q terms
     nonlinear = False
+    #: attributes :meth:`nl_eval_group` reads, handed to it as frozen
+    #: ``(d, 1)`` columns by the compiled system
+    nl_params: Tuple[str, ...] = ()
+    #: bumped by every attribute write (``set_param`` or plain
+    #: assignment); compiled systems compare it to tell when their
+    #: frozen parameter columns and cached point evaluations are stale
+    _param_version = 0
 
     def __init__(self, name: str, nodes: Sequence[str]):
         self.name = name
         self.nodes = [str(n) for n in nodes]
         self.node_idx: List[int] = []
         self.branch_idx: List[int] = []
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        self.__dict__["_param_version"] = self._param_version + 1
 
     def bind(self, node_idx: Sequence[int], branch_idx: Sequence[int]) -> None:
         """Receive global indices (ground mapped to -1)."""
@@ -173,9 +184,11 @@ class Device:
         return None
 
     @classmethod
-    def nl_eval_group(cls, devices: Sequence["Device"], V: np.ndarray):
+    def nl_eval_group(cls, P: Dict[str, np.ndarray], V: np.ndarray):
         """Batched :meth:`nl_eval` over ``d`` same-class devices.
 
+        ``P`` maps each name in :attr:`nl_params` to a read-only
+        ``(d, 1)`` float column of that attribute across the batch.
         ``V`` has shape ``(d, k_in, m)``; returns ``(f, q, df, dq)``
         with ``f, q`` of shape ``(d, k_eq, m)`` and ``df, dq`` of shape
         ``(d, k_eq, k_in, m)``.  Implementations must mirror
@@ -275,11 +288,6 @@ class Device:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}({self.name}, nodes={self.nodes})"
-
-
-def _param_column(devices: Sequence["Device"], attr: str) -> np.ndarray:
-    """(d, 1) float column of one scalar parameter across a batch."""
-    return np.array([getattr(dev, attr) for dev in devices], dtype=float)[:, None]
 
 
 def _two_node_stamps(i: int, j: int, val: float) -> List[Tuple[int, int, float]]:
@@ -654,18 +662,20 @@ class Diode(Device):
         dq[1, 0], dq[1, 1] = -cq, cq
         return f, q, df, dq
 
+    nl_params = ("isat", "vt", "gmin", "tt", "cj0")
+
     def nl_group_key(self):
         return "diode"
 
     @classmethod
-    def nl_eval_group(cls, devices, V):
+    def nl_eval_group(cls, P, V):
         # mirrors nl_eval/current with a leading device axis; parameter
         # columns broadcast against the (d, m) sample planes
-        isat = _param_column(devices, "isat")
-        vt = _param_column(devices, "vt")
-        gmin = _param_column(devices, "gmin")
-        tt = _param_column(devices, "tt")
-        cj0 = _param_column(devices, "cj0")
+        isat = P["isat"]
+        vt = P["vt"]
+        gmin = P["gmin"]
+        tt = P["tt"]
+        cj0 = P["cj0"]
         vd = V[:, 0] - V[:, 1]
         e, de = limexp(vd / vt)
         i = isat * (e - 1.0) + gmin * vd
@@ -850,21 +860,25 @@ class BJT(Device):
                 dq[row, col] = dterm[0] * dvbe[col] + dterm[1] * dvbc[col]
         return f, q, df, dq
 
+    nl_params = (
+        "polarity", "isat", "vt", "gmin", "beta_f", "beta_r", "tf", "cje", "cjc",
+    )
+
     def nl_group_key(self):
         return "bjt"
 
     @classmethod
-    def nl_eval_group(cls, devices, V):
+    def nl_eval_group(cls, P, V):
         # mirrors nl_eval/_junction_currents with a leading device axis
-        p = _param_column(devices, "polarity")
-        isat = _param_column(devices, "isat")
-        vt = _param_column(devices, "vt")
-        gmin = _param_column(devices, "gmin")
-        beta_f = _param_column(devices, "beta_f")
-        beta_r = _param_column(devices, "beta_r")
-        tf = _param_column(devices, "tf")
-        cje = _param_column(devices, "cje")
-        cjc = _param_column(devices, "cjc")
+        p = P["polarity"]
+        isat = P["isat"]
+        vt = P["vt"]
+        gmin = P["gmin"]
+        beta_f = P["beta_f"]
+        beta_r = P["beta_r"]
+        tf = P["tf"]
+        cje = P["cje"]
+        cjc = P["cjc"]
 
         vc, vb, ve = V[:, 0], V[:, 1], V[:, 2]
         vbe = p * (vb - ve)
@@ -1073,6 +1087,8 @@ class MOSFET(Device):
         dq[2, 1], dq[2, 2] = -self.cgs, self.cgs
         return f, q, df, dq
 
+    nl_params = ("polarity", "kp", "vth", "lam", "gmin", "cgs", "cgd")
+
     def nl_group_key(self):
         return "mosfet"
 
@@ -1102,15 +1118,15 @@ class MOSFET(Device):
         return ids, gm, go
 
     @classmethod
-    def nl_eval_group(cls, devices, V):
+    def nl_eval_group(cls, P, V):
         # mirrors nl_eval with a leading device axis
-        p = _param_column(devices, "polarity")
-        kp = _param_column(devices, "kp")
-        vth = _param_column(devices, "vth")
-        lam = _param_column(devices, "lam")
-        gmin = _param_column(devices, "gmin")
-        cgs = _param_column(devices, "cgs")
-        cgd = _param_column(devices, "cgd")
+        p = P["polarity"]
+        kp = P["kp"]
+        vth = P["vth"]
+        lam = P["lam"]
+        gmin = P["gmin"]
+        cgs = P["cgs"]
+        cgd = P["cgd"]
 
         vd, vg, vs = V[:, 0], V[:, 1], V[:, 2]
         vds_raw = p * (vd - vs)
@@ -1298,15 +1314,17 @@ class SwitchConductance(Device):
         dq = np.zeros((2, 4, m))
         return f, q, df, dq
 
+    nl_params = ("g_on", "g_off", "sharpness")
+
     def nl_group_key(self):
         return "switch"
 
     @classmethod
-    def nl_eval_group(cls, devices, V):
+    def nl_eval_group(cls, P, V):
         # mirrors nl_eval/conductance with a leading device axis
-        g_on = _param_column(devices, "g_on")
-        g_off = _param_column(devices, "g_off")
-        sharpness = _param_column(devices, "sharpness")
+        g_on = P["g_on"]
+        g_off = P["g_off"]
+        sharpness = P["sharpness"]
         v1, v2, cp, cn = V[:, 0], V[:, 1], V[:, 2], V[:, 3]
         vc = cp - cn
         vs = v1 - v2
