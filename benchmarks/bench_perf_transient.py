@@ -152,12 +152,16 @@ def test_transient_lu_reuse(benchmark):
 
     # Monte-Carlo corner sweep through the executor backends: eight
     # bias corners of a 10-stage ladder, identical trajectories
-    # demanded across serial / thread / process at 4 workers
+    # demanded across serial / thread / process at 4 workers.  A whole
+    # sweep takes only ~0.5 s serially, so each backend's wall is the
+    # best of three runs over the same corners: one slow single shot
+    # would otherwise decide the process-vs-serial gate below
     corners = [0.15 + 0.05 * k for k in range(8)]
     task = _CornerTransient(stages=10, t_stop=4e-8, dt=4e-10)
     workers = 4
     backends, outputs = backend_sweep_timings(
-        lambda backend: sweep_map(task, corners, workers=workers, backend=backend)
+        lambda backend: sweep_map(task, corners, workers=workers, backend=backend),
+        repeats=3,
     )
     for backend in ("thread", "process"):
         for ref, got in zip(outputs["serial"], outputs[backend]):
@@ -187,6 +191,7 @@ def test_transient_lu_reuse(benchmark):
             "sweep": {
                 "corners": len(corners),
                 "workers": workers,
+                "repeats": 3,
                 "backends": backends,
                 "identical": True,
             },
